@@ -67,7 +67,6 @@ void Session::run_one_batch(size_t limit) {
   if (n == 0) return;
   const uint64_t t0 = trace_ != nullptr ? obs::now_ns() : 0;
   const std::span<const Event> batch(buffer_.data() + head_, n);
-  const size_t batch_start = fed_;
   try {
     monitor_.feed_batch(batch);
   } catch (const CheckerOverflow&) {
@@ -79,11 +78,12 @@ void Session::run_one_batch(size_t limit) {
   if (!monitor_.ok() || monitor_.overflowed()) {
     if (!settled_.load(std::memory_order_relaxed)) {
       settled_.store(true, std::memory_order_release);
-      // The verdict flipped somewhere inside this batch.  Events past the
-      // flip (or past an overflow) were never processed — report the
-      // engine's accepted count, not the batch's arrival count.
-      first_bad_ = batch_start;
+      // The engine stops at the offending event, so its own count names it:
+      // a rejecting response is the last event it accepted; an overflowing
+      // closure runs before the first response of its run is counted.
+      // Events past that point were never processed.
       fed_ = monitor_.stats().events_fed;
+      first_bad_ = monitor_.overflowed() ? fed_ : fed_ - 1;
     }
     // Further input cannot change a sticky verdict; drop it.
     buffer_.clear();

@@ -25,9 +25,9 @@
 // Verdicts are deterministic per session: a session's events are fed in
 // arrival order whatever the interleaving with other sessions' work and
 // whatever the executor's lane count (tests/service_test.cpp asserts this).
-// Verdict granularity is the batch: ok() may flip anywhere inside a drained
-// batch, and first_bad_index() brackets the offense by the start of that
-// batch (re-check the reported window per event for the exact offender).
+// ok() may flip anywhere inside a drained batch; first_bad_index() still
+// names the exact offending event, because the engine stops there and its
+// own event count says where.
 //
 // Threading contract: open/feed/drain/close are controller-thread calls
 // (one caller, like every selin facade); the parallelism lives inside
@@ -115,9 +115,10 @@ class Session {
   size_t events_fed() const { return fed_; }
   /// Events buffered but not yet drained.
   size_t pending() const { return buffer_.size() - head_; }
-  /// Index (in arrival order) of the first event of the batch in which the
-  /// verdict flipped; events_fed() when still ok.  Batch granularity: the
-  /// monitor settles verdicts per drained batch.
+  /// Index (in arrival order) of the event that settled the verdict: the
+  /// response no linearization survives when rejected, the response whose
+  /// closure exceeded the budget when overflowed; events_fed() when still
+  /// ok.
   size_t first_bad_index() const { return settled_ ? first_bad_ : fed_; }
 
   /// Execution counters of the session's engine (engine/stats.hpp).

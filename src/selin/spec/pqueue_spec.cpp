@@ -1,10 +1,7 @@
 // Min priority queue sequential specification (Theorem 5.1 object).
 // PqInsert(v) -> true; PqExtractMin() -> smallest value, or `empty`.
-#include <set>
-#include <sstream>
-
 #include "selin/spec/spec.hpp"
-#include "selin/util/hash.hpp"
+#include "selin/spec/value_seq.hpp"
 
 namespace selin {
 namespace {
@@ -18,31 +15,21 @@ class PqState final : public SeqState {
   Value step(Method m, Value arg) override {
     switch (m) {
       case Method::kPqInsert:
-        items_.insert(arg);
+        items_.insert(arg, /*unique=*/false);
         return kTrue;
-      case Method::kPqExtractMin: {
-        if (items_.empty()) return kEmpty;
-        auto it = items_.begin();
-        Value v = *it;
-        items_.erase(it);
-        return v;
-      }
+      case Method::kPqExtractMin:
+        return items_.empty() ? kEmpty : items_.pop_min();
       default:
         return kError;
     }
   }
 
   std::string encode() const override {
-    std::ostringstream os;
-    os << "P";
-    for (Value v : items_) os << ":" << v;
-    return os.str();
+    return spec_detail::encode_values('P', items_.values());
   }
 
   uint64_t fingerprint() const override {
-    fph::Hasher h('P');
-    for (Value v : items_) h.i64(v);
-    return h.done();
+    return spec_detail::fingerprint_values('P', items_.values());
   }
 
   bool assign_from(const SeqState& src) override {
@@ -53,7 +40,7 @@ class PqState final : public SeqState {
   }
 
  private:
-  std::multiset<Value> items_;
+  spec_detail::SortedValues items_;
 };
 
 class PqSpec final : public SeqSpec {

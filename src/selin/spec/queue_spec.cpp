@@ -1,18 +1,23 @@
 // FIFO queue sequential specification (Figure 4 and Theorem 5.1 object).
 // Enqueue(v) -> true; Dequeue() -> head value, or `empty`.
-#include <deque>
-#include <sstream>
+#include <span>
+#include <vector>
 
 #include "selin/spec/spec.hpp"
-#include "selin/util/hash.hpp"
+#include "selin/spec/value_seq.hpp"
 
 namespace selin {
 namespace {
 
+// items_[head_, size) is the queue, front first.  Dequeue advances head_;
+// the consumed prefix is dropped once it passes half the buffer, so the
+// buffer stays within twice the live length at amortized O(1) per dequeue.
 class QueueState final : public SeqState {
  public:
   std::unique_ptr<SeqState> clone() const override {
-    return std::make_unique<QueueState>(*this);
+    auto s = std::make_unique<QueueState>();
+    s->assign_from(*this);
+    return s;
   }
 
   Value step(Method m, Value arg) override {
@@ -21,9 +26,12 @@ class QueueState final : public SeqState {
         items_.push_back(arg);
         return kTrue;
       case Method::kDequeue: {
-        if (items_.empty()) return kEmpty;
-        Value v = items_.front();
-        items_.pop_front();
+        if (head_ == items_.size()) return kEmpty;
+        const Value v = items_[head_++];
+        if (2 * head_ > items_.size()) {
+          items_.erase(items_.begin(), items_.begin() + head_);
+          head_ = 0;
+        }
         return v;
       }
       default:
@@ -32,27 +40,31 @@ class QueueState final : public SeqState {
   }
 
   std::string encode() const override {
-    std::ostringstream os;
-    os << "Q";
-    for (Value v : items_) os << ":" << v;
-    return os.str();
+    return spec_detail::encode_values('Q', live());
   }
 
   uint64_t fingerprint() const override {
-    fph::Hasher h('Q');
-    for (Value v : items_) h.i64(v);
-    return h.done();
+    return spec_detail::fingerprint_values('Q', live());
   }
 
   bool assign_from(const SeqState& src) override {
     auto* o = dynamic_cast<const QueueState*>(&src);
     if (o == nullptr) return false;
-    items_ = o->items_;
+    if (o != this) {
+      const std::span<const Value> v = o->live();
+      items_.assign(v.begin(), v.end());
+      head_ = 0;
+    }
     return true;
   }
 
  private:
-  std::deque<Value> items_;
+  std::span<const Value> live() const {
+    return std::span<const Value>(items_).subspan(head_);
+  }
+
+  std::vector<Value> items_;
+  size_t head_ = 0;
 };
 
 class QueueSpec final : public SeqSpec {

@@ -1,11 +1,8 @@
 // Integer set sequential specification (Theorem 5.1 object).
 // Insert(v) -> true iff v was absent; Remove(v) -> true iff v was present;
 // Contains(v) -> membership.
-#include <set>
-#include <sstream>
-
 #include "selin/spec/spec.hpp"
-#include "selin/util/hash.hpp"
+#include "selin/spec/value_seq.hpp"
 
 namespace selin {
 namespace {
@@ -19,27 +16,22 @@ class SetState final : public SeqState {
   Value step(Method m, Value arg) override {
     switch (m) {
       case Method::kInsert:
-        return items_.insert(arg).second ? kTrue : kFalse;
+        return items_.insert(arg, /*unique=*/true) ? kTrue : kFalse;
       case Method::kRemove:
-        return items_.erase(arg) != 0 ? kTrue : kFalse;
+        return items_.erase(arg) ? kTrue : kFalse;
       case Method::kContains:
-        return items_.count(arg) != 0 ? kTrue : kFalse;
+        return items_.contains(arg) ? kTrue : kFalse;
       default:
         return kError;
     }
   }
 
   std::string encode() const override {
-    std::ostringstream os;
-    os << "T";
-    for (Value v : items_) os << ":" << v;
-    return os.str();
+    return spec_detail::encode_values('T', items_.values());
   }
 
   uint64_t fingerprint() const override {
-    fph::Hasher h('T');
-    for (Value v : items_) h.i64(v);
-    return h.done();
+    return spec_detail::fingerprint_values('T', items_.values());
   }
 
   bool assign_from(const SeqState& src) override {
@@ -50,7 +42,7 @@ class SetState final : public SeqState {
   }
 
  private:
-  std::set<Value> items_;
+  spec_detail::SortedValues items_;
 };
 
 class SetSpec final : public SeqSpec {

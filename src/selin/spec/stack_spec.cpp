@@ -1,10 +1,9 @@
 // LIFO stack sequential specification (Figures 1 and 3 of the paper).
 // Push(v) -> true; Pop() -> top value, or `empty`.
-#include <sstream>
 #include <vector>
 
 #include "selin/spec/spec.hpp"
-#include "selin/util/hash.hpp"
+#include "selin/spec/value_seq.hpp"
 
 namespace selin {
 namespace {
@@ -32,16 +31,11 @@ class StackState final : public SeqState {
   }
 
   std::string encode() const override {
-    std::ostringstream os;
-    os << "S";
-    for (Value v : items_) os << ":" << v;
-    return os.str();
+    return spec_detail::encode_values('S', items_);
   }
 
   uint64_t fingerprint() const override {
-    fph::Hasher h('S');
-    for (Value v : items_) h.i64(v);
-    return h.done();
+    return spec_detail::fingerprint_values('S', items_);
   }
 
   bool assign_from(const SeqState& src) override {

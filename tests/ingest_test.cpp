@@ -137,7 +137,7 @@ TEST(IngestMpsc, SettledSessionDiscardsPublishes) {
   ASSERT_TRUE(s->try_publish(batch));
   svc.drain();
   ASSERT_EQ(s->status(), Session::Status::kRejected);
-  EXPECT_EQ(s->first_bad_index(), 0u);
+  EXPECT_EQ(s->first_bad_index(), 1u) << "the offending response";
 
   const size_t fed = s->events_fed();
   const OpDesc more{OpId{0, 1}, Method::kEnqueue, 1};
@@ -341,8 +341,8 @@ TEST(IngestServerE2E, RejectingStreamFirstBad) {
   VerdictBody fin;
   ASSERT_TRUE(cli.bye(&fin, &err)) << err;
   EXPECT_EQ(fin.status, WireStatus::kRejected);
-  EXPECT_LT(fin.first_bad, stream.size())
-      << "first_bad brackets the offending batch";
+  EXPECT_EQ(fin.first_bad, stream.size() - 1)
+      << "first_bad names the offending response";
 }
 
 // Deterministic backpressure: with inbox_capacity = 4, an 8-event frame can

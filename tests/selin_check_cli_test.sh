@@ -58,6 +58,11 @@ echo "res 0 0 Enqueue 1 true" >> "$overflow"
 expect 0 "$bin" queue "${ok_files[0]}"
 expect 0 "$bin" queue "${ok_files[0]}" --witness --stats
 expect 1 "$bin" queue "$tmp/hists/bad_fifo.hist"
+single_bad="$(sed -n 's/^# first inconsistent event (index \([0-9]*\)).*/\1/p' "$tmp/out")"
+if [[ -z "$single_bad" ]]; then
+  echo "FAIL: single-history mode named no first inconsistent event" >&2
+  fails=$((fails + 1))
+fi
 expect 2 "$bin" queue "$tmp/hists/broken.hist"
 expect 2 "$bin" queue "$tmp/does-not-exist.hist"
 expect 2 "$bin" frobnicator "${ok_files[0]}"
@@ -71,9 +76,11 @@ expect 0 "$bin" queue "${ok_files[@]}" --jobs 2
 expect_grep '^file +verdict +events$'
 expect_grep 'ok_1\.hist +OK +10'
 
-# Any violation: 1, named in the table.
+# Any violation: 1, named in the table with the same first inconsistent
+# event the single-history mode reports.
 expect 1 "$bin" queue "${ok_files[@]}" "$tmp/hists/bad_fifo.hist" --jobs 2
 expect_grep 'bad_fifo\.hist +VIOLATION'
+expect_grep "bad_fifo\.hist +VIOLATION .*first inconsistent event \(index ${single_bad}\)"
 
 # Any overflow outranks violations: 3.
 expect 3 "$bin" queue "${ok_files[@]}" "$tmp/hists/bad_fifo.hist" \

@@ -218,6 +218,7 @@ TEST(MonitorService, OverflowIsolatedPerSession) {
   // events_fed reports what the engine accepted: the 6 invocations (the
   // overflowing response died mid-closure), not the batch's arrival count.
   EXPECT_EQ(svc.session(0).events_fed(), 6u);
+  EXPECT_EQ(svc.session(0).first_bad_index(), 6u) << "the overflowing response";
   EXPECT_EQ(svc.session(1).status(), service::Session::Status::kOk);
   EXPECT_EQ(svc.session(1).events_fed(), good.h.size());
 
@@ -228,12 +229,16 @@ TEST(MonitorService, OverflowIsolatedPerSession) {
   EXPECT_EQ(svc.session(0).status(), service::Session::Status::kOverflowed);
 }
 
-// A rejecting session reports the batch window containing the offense.
+// A rejecting session names the corrupted response itself, not just the
+// drained batch that held it.
 TEST(MonitorService, FirstBadIndexBracketsTheOffense) {
   Stream bad;
   bad.kind = ObjectKind::kQueue;
   bad.h = random_linearizable_history(bad.kind, 3, 40, 77);
+  const History clean = bad.h;
   ASSERT_TRUE(corrupt_response(bad.h, 3));
+  size_t corrupted = 0;
+  while (bad.h[corrupted].result == clean[corrupted].result) ++corrupted;
 
   service::ServiceOptions opts;
   opts.lanes = 2;
@@ -245,9 +250,8 @@ TEST(MonitorService, FirstBadIndexBracketsTheOffense) {
 
   const service::Session& s = svc.session(0);
   ASSERT_EQ(s.status(), service::Session::Status::kRejected);
-  EXPECT_LT(s.first_bad_index(), s.events_fed());
-  EXPECT_LE(s.events_fed() - s.first_bad_index(), 8u)
-      << "offense must lie within the final drained batch";
+  EXPECT_EQ(s.first_bad_index(), corrupted);
+  EXPECT_EQ(s.events_fed(), corrupted + 1) << "nothing past the offense fed";
   // Stats flow through per session.
   EXPECT_GT(s.stats().events_fed, 0u);
 }

@@ -532,9 +532,8 @@ int run_multi(ObjectKind kind, const std::vector<std::string>& files,
         case service::Session::Status::kRejected:
           any_violation = true;
           verdict = "VIOLATION";
-          detail = "inconsistent within events [" +
-                   std::to_string(s.first_bad_index()) + ", " +
-                   std::to_string(s.events_fed()) + ")";
+          detail = "first inconsistent event (index " +
+                   std::to_string(s.first_bad_index()) + ")";
           break;
         case service::Session::Status::kOverflowed:
           any_overflow = true;
