@@ -29,10 +29,13 @@
 //                 std::span<const OpDesc> open, GetCfg&& cfg,
 //                 Emit&& emit) const;         // successors of one config;
 //         // cfg() returns the configuration and MUST be re-fetched after
-//         // every emit (the sequential engine expands in place and emit may
-//         // reallocate the closure vector)
+//         // every emit (the sequential engine appends the closure to the
+//         // frontier vector it is expanding, and an admitted candidate may
+//         // grow that vector past its reserve)
 //     bool match(Config& c, const Event& res) const;  // response filter;
 //         // true keeps (and mutates) the configuration, false drops it
+//     const Value* held(const Config& c, OpId id) const;  // the value `c`
+//         // has fixed for `id` (what match() compares), or nullptr
 //   };
 //
 // The closure set and the filtered frontier are fixpoints, independent of
@@ -153,7 +156,8 @@ class FrontierEngine {
       : policy_(o.policy_), max_configs_(o.max_configs_), exec_(o.exec_),
         lanes_(o.lanes_), adaptive_(o.adaptive_), ok_(o.ok_),
         overflowed_(o.overflowed_), engage_(o.engage_), retreat_(o.retreat_),
-        obs_(o.obs_), open_(o.open_), base_stats_(o.stats()) {
+        obs_(o.obs_), open_(o.open_), closed_(o.closed_),
+        base_stats_(o.stats()) {
     if (o.tuner_ != nullptr) tuner_ = std::make_unique<AutoTuner>(*o.tuner_);
     // The clone's window starts empty; anchor the dedup-delta snapshots at
     // the inherited totals so its first tick sees only its own probes.
@@ -379,58 +383,97 @@ class FrontierEngine {
     }
   }
 
-  // All configurations reachable from the frontier by any sequence of the
-  // policy's linearization moves (index-based BFS with dedup; `result` may
-  // reallocate under emit, which is why the policy receives the
-  // configuration as a re-fetching accessor rather than a reference — see
-  // the policy contract in policies.hpp).
+  // Expands frontier_, in place, to its closure under the policy's
+  // linearization moves, pruned by the run's first response r1 (index-based
+  // BFS with dedup).  The seeds stay at the front and every admitted
+  // configuration is appended behind them, so the round reuses one buffer;
+  // it is reserved up front (reserve_closure), but a closure wider than the
+  // reserve still grows it under emit, which is why the policy receives the
+  // configuration as a re-fetching accessor rather than a reference.
+  //
+  // Pruning: a candidate that holds r1's op with a value other than
+  // r1.result is dropped before it is probed, and a seed that does is not
+  // expanded.  Closure moves never change a held value, so the filter would
+  // drop such a configuration and every descendant of it; the frontier after
+  // each response is unchanged.  Only r1 prunes — r2..rk filter the set
+  // closed for r1 and must see exactly its survivors.
   //
   // Data-oriented layout: candidates are buffered and their fingerprints
   // probed in prefetched batches (probe order — and with it every dedup
-  // outcome, the result order, and the overflow point — is the emission
+  // outcome, the closure order, and the overflow point — is the emission
   // order, exactly as the probe-per-emit loop produced).  Alongside the
-  // result the engine fills two parallel SoA rows per configuration:
+  // closure the engine fills two parallel SoA rows per configuration:
   // hot_fp_ (the fingerprint) and hot_bloom_ (the policy's match-key Bloom
   // bits), which the response filter then scans contiguously without
   // touching the Configs of dropped rows.  `seen` is pre-sized from the
   // previous round's closure width so no FpSet grow lands mid-closure.
-  std::vector<Config> closure() {
+  void closure(const Event& r1) {
+    const size_t seeds = frontier_.size();
+    reserve_closure(seeds);
     eng_.seen.clear();
-    eng_.seen.reserve(std::max(frontier_.size(), last_width_));
+    eng_.seen.reserve(std::max(seeds, last_width_));
     hot_fp_.clear();
     hot_bloom_.clear();
-    std::vector<Config> result;
-    result.reserve(std::max(frontier_.size() * 2, last_width_));
-    // Seed: the frontier is already deduplicated, so every probe is fresh —
-    // the batch registers the fingerprints in `seen` and the configurations
-    // *move* in (no clone; a round where nothing expands now costs one
-    // probe batch and |frontier| moves instead of |frontier| state clones
-    // immediately released again).
+    if constexpr (Policy::kLazyExpand) {
+      // No candidate can equal a seed (see expand_closure_lazy), so the
+      // seeds only need their hot rows.
+      for (const Config& c : frontier_) {
+        hot_fp_.push_back(c.fingerprint());
+        hot_bloom_.push_back(policy_.hot_bits(c));
+      }
+      expand_closure_lazy(seeds, r1);
+    } else {
+      register_seeds();
+      expand_closure_buffered(seeds, r1);
+    }
+    last_width_ = frontier_.size();
+  }
+
+  /// Capacity for this round's closure: max(2·|F|, last closure width), as
+  /// a fresh vector would reserve.  The buffer is reallocated down only once
+  /// its capacity exceeds 4× that figure, so one wide round does not pin
+  /// its peak for the engine's lifetime while steady rounds never reallocate.
+  /// Buffers of at most kShrinkFloor configurations are never shrunk: on
+  /// window streams whose width swings between rounds, shrinking them
+  /// doubled the engine's allocations per event for a few KB of heap.
+  static constexpr size_t kShrinkFloor = 64;
+  void reserve_closure(size_t seeds) {
+    const size_t want = std::max(seeds * 2, last_width_);
+    if (frontier_.capacity() < want) {
+      frontier_.reserve(want);
+    } else if (frontier_.capacity() > 4 * want &&
+               frontier_.capacity() > kShrinkFloor) {
+      std::vector<Config> fresh;
+      fresh.reserve(want);
+      for (Config& c : frontier_) fresh.push_back(std::move(c));
+      frontier_.swap(fresh);
+    }
+  }
+
+  /// Buffered policies' seed registration: the frontier is already
+  /// deduplicated, so every probe is fresh — the batches register the
+  /// fingerprints in `seen` (a successor may equal a seed) and fill the
+  /// seeds' hot rows.
+  void register_seeds() {
     fp_buf_.clear();
     for (const Config& c : frontier_) fp_buf_.push_back(c.fingerprint());
     for (size_t b = 0; b < fp_buf_.size(); b += FpSet::kMaxBatch) {
       const size_t n = std::min(FpSet::kMaxBatch, fp_buf_.size() - b);
-      const uint64_t fresh =
-          eng_.probe_batch(eng_.seen, fp_buf_.data() + b, n,
-                           [&](size_t i) { return frontier_[b + i].key(); });
-      for (size_t i = 0; i < n; ++i) {
-        if (((fresh >> i) & 1) != 0) {
-          hot_fp_.push_back(fp_buf_[b + i]);
-          hot_bloom_.push_back(policy_.hot_bits(frontier_[b + i]));
-          result.push_back(std::move(frontier_[b + i]));
-        } else {
-          eng_.pool.release(std::move(frontier_[b + i].state));
-        }
-      }
+      eng_.probe_batch(eng_.seen, fp_buf_.data() + b, n,
+                       [&](size_t i) { return frontier_[b + i].key(); });
     }
-    frontier_.clear();
-    if constexpr (Policy::kLazyExpand) {
-      expand_closure_lazy(result);
-    } else {
-      expand_closure_buffered(result);
+    for (size_t i = 0; i < frontier_.size(); ++i) {
+      hot_fp_.push_back(fp_buf_[i]);
+      hot_bloom_.push_back(policy_.hot_bits(frontier_[i]));
     }
-    last_width_ = result.size();
-    return result;
+  }
+
+  /// True iff `c` holds r1's op with a value other than the observed one:
+  /// the r1 filter drops it and, since closure moves never change a held
+  /// value, every configuration reachable from it.
+  bool wrong_for(const Config& c, const Event& r1) const {
+    const Value* v = policy_.held(c, r1.op.id);
+    return v != nullptr && *v != r1.result;
   }
 
   /// Expansion loop for policies with expand_lazy (LinPolicy): candidates
@@ -439,7 +482,15 @@ class FrontierEngine {
   /// linearized-set copy, so the duplicate-heavy case skips the
   /// clone-then-release churn entirely.  Buffers flush at every expand()
   /// return (and at kMaxBatch mid-expand), preserving emission order.
-  void expand_closure_lazy(std::vector<Config>& result) {
+  ///
+  /// Incremental: the seeds (the previous round's filtered frontier) are
+  /// closed under open_[0, closed_), so they expand only by the ops invoked
+  /// since, open_[closed_, end).  Any configuration outside the seeds is
+  /// first reached by linearizing one of those new ops, and ops never leave
+  /// a configuration during closure, so every candidate holds a new op —
+  /// which no seed does.  Candidates therefore never equal a seed, and the
+  /// seeds need no probe.
+  void expand_closure_lazy(size_t seeds, const Event& r1) {
     auto flush = [&] {
       const size_t n = lazy_.size();
       if (n == 0) return;
@@ -449,7 +500,7 @@ class FrontierEngine {
           eng_.probe_batch(eng_.seen, fp_buf_.data(), n, [&](size_t i) {
             const LazyCand& lc = lazy_[i];
             return Policy::candidate_key(
-                *lc.st, result[lc.parent].linearized, lc.id, lc.v);
+                *lc.st, frontier_[lc.parent].linearized, lc.id, lc.v);
           });
       for (size_t i = 0; i < n; ++i) {
         LazyCand& lc = lazy_[i];
@@ -457,23 +508,32 @@ class FrontierEngine {
           eng_.pool.release(std::move(lc.st));
           continue;
         }
-        if (result.size() >= max_configs_) throw CheckerOverflow{};
+        if (frontier_.size() >= max_configs_) throw CheckerOverflow{};
         Config next;
         next.state = std::move(lc.st);
-        next.linearized = result[lc.parent].linearized;
+        next.linearized = frontier_[lc.parent].linearized;
         next.add(lc.id, lc.v);
         hot_fp_.push_back(lc.fp);
         hot_bloom_.push_back(hot_bloom_[lc.parent] |
                              lincheck::match_bit(lincheck::seq_major(lc.id)));
-        result.push_back(std::move(next));
+        frontier_.push_back(std::move(next));
       }
       lazy_.clear();
     };
-    for (size_t i = 0; i < result.size(); ++i) {
-      auto cfg = [&result, i]() -> const Config& { return result[i]; };
+    const std::span<const OpDesc> all = open_span();
+    const std::span<const OpDesc> fresh_ops = all.subspan(closed_);
+    for (size_t i = 0; i < frontier_.size(); ++i) {
+      // Parents are never wrong for r1 past the seeds (candidates that are
+      // get pruned below), so only a seed needs the held-value check.
+      if (i < seeds && wrong_for(frontier_[i], r1)) continue;
+      auto cfg = [this, i]() -> const Config& { return frontier_[i]; };
       policy_.expand_lazy(
-          eng_.pool, scratch_[0], open_span(), cfg,
+          eng_.pool, scratch_[0], i < seeds ? fresh_ops : all, cfg,
           [&](std::unique_ptr<SeqState> st, OpId id, Value v, uint64_t fp) {
+            if (id == r1.op.id && v != r1.result) {
+              eng_.pool.release(std::move(st));
+              return;
+            }
             lazy_.push_back(LazyCand{std::move(st), id, v, fp, i});
             if (lazy_.size() == FpSet::kMaxBatch) flush();
           });
@@ -484,7 +544,7 @@ class FrontierEngine {
   /// Expansion loop for batch-linearizing policies (SetLin/Interval):
   /// candidates are full Configs, but probes still resolve in prefetched
   /// batches with the grow check hoisted out of the per-probe path.
-  void expand_closure_buffered(std::vector<Config>& result) {
+  void expand_closure_buffered(size_t seeds, const Event& r1) {
     auto flush = [&] {
       const size_t n = pend_.size();
       if (n == 0) return;
@@ -498,17 +558,22 @@ class FrontierEngine {
           eng_.pool.release(std::move(pend_[i].state));
           continue;
         }
-        if (result.size() >= max_configs_) throw CheckerOverflow{};
+        if (frontier_.size() >= max_configs_) throw CheckerOverflow{};
         hot_fp_.push_back(fp_buf_[i]);
         hot_bloom_.push_back(policy_.hot_bits(pend_[i]));
-        result.push_back(std::move(pend_[i]));
+        frontier_.push_back(std::move(pend_[i]));
       }
       pend_.clear();
     };
-    for (size_t i = 0; i < result.size(); ++i) {
-      auto cfg = [&result, i]() -> const Config& { return result[i]; };
+    for (size_t i = 0; i < frontier_.size(); ++i) {
+      if (i < seeds && wrong_for(frontier_[i], r1)) continue;
+      auto cfg = [this, i]() -> const Config& { return frontier_[i]; };
       policy_.expand(eng_.pool, scratch_[0], open_span(), cfg,
                      [&](Config&& next) {
+                       if (wrong_for(next, r1)) {
+                         eng_.pool.release(std::move(next.state));
+                         return;
+                       }
                        pend_.push_back(std::move(next));
                        if (pend_.size() == FpSet::kMaxBatch) flush();
                      });
@@ -543,6 +608,10 @@ class FrontierEngine {
         ++window_.rounds_sequential;
         run_res_sequential(run);
       }
+      // Both representations leave the filtered frontier closed under
+      // every op still open (see above); the next round's seeds expand only
+      // by what is invoked after this point.
+      closed_ = open_.size();
       if (obs_ != nullptr) observe_round(par, t0, run.size());
       if (tuner_ != nullptr) tune();
     } catch (...) {
@@ -575,19 +644,18 @@ class FrontierEngine {
   }
 
   void run_res_sequential(std::span<const Event> run) {
-    std::vector<Config> cur = closure();
+    closure(run.front());
     for (const Event& e : run) {
       ++base_stats_.events_fed;
-      filter_in_place(cur, e);
-      if (!settle_response(e, cur.size())) break;
+      filter_in_place(e);
+      if (!settle_response(e, frontier_.size())) break;
     }
-    // closure() moved the old frontier out, so `cur` simply takes its place.
-    frontier_ = std::move(cur);
   }
 
   /// Allocation-free response filter over the closure set: no `filtered`
-  /// vector — survivors compact to the front of `cur` in place (stable, so
-  /// the surviving order matches the old copy-out loop bit for bit).  The
+  /// vector — survivors compact to the front of `frontier_` in place
+  /// (stable, so the surviving order matches the old copy-out loop bit for
+  /// bit).  The
   /// pass scans the SoA hot rows closure() built: a configuration whose
   /// Bloom bits exclude the event's op provably cannot match and drops
   /// without the exact match() call; survivors' fingerprints are patched by
@@ -597,7 +665,8 @@ class FrontierEngine {
   /// cross-checks every patched fingerprint against the mutated
   /// configuration's canonical key, so the delta arithmetic is verified in
   /// debug/audit builds.
-  void filter_in_place(std::vector<Config>& cur, const Event& e) {
+  void filter_in_place(const Event& e) {
+    std::vector<Config>& cur = frontier_;
     ++base_stats_.filter_in_place_rounds;
     const uint64_t bit = lincheck::match_bit(lincheck::seq_major(e.op.id));
     const uint64_t delta = policy_.match_delta(e);
@@ -640,11 +709,22 @@ class FrontierEngine {
     hot_bloom_.resize(out);
   }
 
+  /// The sharded closure prunes by r1 exactly as the sequential one does
+  /// (closure()), so both admit the same set and overflow at the same event.
   void run_res_parallel(std::span<const Event> run) {
-    shards_->closure([this](size_t s, const Config& c, auto& emit) {
+    const Event& r1 = run.front();
+    shards_->closure([this, &r1](size_t s, const Config& c, auto& emit) {
+      if (wrong_for(c, r1)) return;
+      lincheck::StatePool& pool = pool_->engine(s).pool;
       auto cfg = [&c]() -> const Config& { return c; };
-      policy_.expand(pool_->engine(s).pool, scratch_[s], open_span(), cfg,
-                     emit);
+      policy_.expand(pool, scratch_[s], open_span(), cfg,
+                     [&](Config&& next) {
+                       if (wrong_for(next, r1)) {
+                         pool.release(std::move(next.state));
+                         return;
+                       }
+                       emit(std::move(next));
+                     });
     });
     for (const Event& e : run) {
       ++base_stats_.events_fed;
@@ -701,23 +781,28 @@ class FrontierEngine {
   uint64_t last_hits_ = 0;
 
   std::vector<OpDesc> open_;  // invoked, response not yet fed
+  // frontier_ (or the shards) is closed under open_[0, closed_), and
+  // open_[closed_, end) are the ops invoked since.  Set to open_.size() at
+  // the end of every response round, after that round's erasures; between
+  // rounds open_ only grows at the back, so swap-erase never disturbs it.
+  size_t closed_ = 0;
 
   // Sequential representation.
   std::vector<Config> frontier_;
   lincheck::DedupEngine eng_;
 
   // Data-oriented hot-path storage for the sequential engine.  hot_fp_ and
-  // hot_bloom_ are SoA rows parallel to the closure vector (fingerprint and
-  // match-key Bloom bits of result[i]); fp_buf_ is the batch-probe scratch;
-  // lazy_/pend_ buffer not-yet-admitted expansion candidates between probe
-  // flushes.  All retain capacity across rounds — steady state allocates
-  // nothing here.
+  // hot_bloom_ are SoA rows parallel to frontier_ during a round
+  // (fingerprint and match-key Bloom bits of frontier_[i]); fp_buf_ is the
+  // batch-probe scratch; lazy_/pend_ buffer not-yet-admitted expansion
+  // candidates between probe flushes.  All retain capacity across rounds —
+  // steady state allocates nothing here.
   struct LazyCand {
     std::unique_ptr<SeqState> st;
     OpId id;
     Value v;
     uint64_t fp;
-    size_t parent;  // index into the closure vector
+    size_t parent;  // index into frontier_
   };
   size_t last_width_ = 0;          // previous closure width (pre-sizing seed)
   std::vector<uint64_t> hot_fp_;

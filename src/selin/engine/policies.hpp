@@ -120,6 +120,10 @@ struct LinPolicy {
     return c.remove_if_equals(e.op.id, e.result);
   }
 
+  /// The value `c` linearized `id` with, or nullptr: what match() compares
+  /// against the response (the engine's r1 pruning).
+  const Value* held(const Config& c, OpId id) const { return c.find(id); }
+
   /// Fingerprint delta of a successful match(c, e): match only removes the
   /// (op, result) entry from the linearized set — machine state is never
   /// touched — so the post-match fingerprint is the pre-match one XOR this,
@@ -210,6 +214,8 @@ struct SetLinPolicy {
   bool match(Config& c, const Event& e) const {
     return c.remove_if_equals(e.op.id, e.result);
   }
+
+  const Value* held(const Config& c, OpId id) const { return c.find(id); }
 
   /// Same filter as LinPolicy: match removes one (op, result) entry.
   uint64_t match_delta(const Event& e) const {
@@ -414,6 +420,13 @@ struct IntervalPolicy {
   // The op leaves the machine and the history bookkeeping.
   bool match(IConfig& c, const Event& e) const {
     return c.retire_if_assigned(e.op.id, e.result);
+  }
+
+  /// The response the machine assigned `id`, or nullptr: an assignment is
+  /// never revised by a closure move, and match() requires it to equal the
+  /// observed result.
+  const Value* held(const IConfig& c, OpId id) const {
+    return c.find_assigned(id);
   }
 
   /// Fingerprint delta of a successful match: retire_if_assigned removes

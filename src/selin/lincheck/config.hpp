@@ -81,7 +81,9 @@ constexpr uint64_t match_bit(uint64_t seq_major_key) {
 }
 
 /// The linearized-but-unresponded op set: seq-major keys -> assigned values,
-/// run-length compressed with the incremental fph::lin_op hash.
+/// run-length compressed with the incremental fph::lin_op hash.  At most one
+/// entry per process, so on the modeled 2-4 process histories it always
+/// fits ValueRunSet's 4 inline runs and a candidate copy never allocates.
 using LinSet = ValueRunSet<lin_elem>;
 
 /// Recycler for SeqState clones.  Configurations are created and discarded

@@ -16,7 +16,10 @@ size_t this_thread_lane() {
 
 void Histogram::record(uint64_t v) {
   buckets_[std::bit_width(v)].fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(v, std::memory_order_relaxed);
+  // Release: a reader that acquires a sum including v also sees v's bucket
+  // bump, so a snapshot reading the sum first never counts fewer records
+  // than the sum holds.
+  sum_.fetch_add(v, std::memory_order_release);
   uint64_t prev = max_.load(std::memory_order_relaxed);
   while (prev < v &&
          !max_.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
@@ -119,11 +122,15 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
         v.gauge = e.g->value();
         break;
       case MetricKind::kHistogram:
-        v.count = e.h->count();
+        // Sum first (acquire, pairing with record's release), then one copy
+        // of the buckets that count is derived from: every record the sum
+        // includes is in the copy, so under concurrent writers the count
+        // never lags the sum, and it always equals the buckets' total.
         v.sum = e.h->sum();
         v.max = e.h->max();
         for (size_t b = 0; b < Histogram::kBuckets; ++b) {
           const uint64_t n = e.h->bucket(b);
+          v.count += n;
           if (n != 0) v.buckets.emplace_back(Histogram::bucket_bound(b), n);
         }
         break;

@@ -10,8 +10,9 @@
 // run, and the common shape is a dense prefix plus a few holes.  A
 // run-length interval representation stores that in O(#runs).
 //
-// Three layers, all backed by SmallVec (inline for the typical 1-3 runs,
-// heap spill for adversarial fragmentation):
+// Three layers, all backed by SmallVec (inline for the typical few runs —
+// 2 tail runs for the id sets, 4 runs for ValueRunSet — heap spill for
+// adversarial fragmentation):
 //
 //   IntervalSet          ids only; hybrid layout: an explicit dense-prefix
 //                        watermark [base, mark) with O(1) membership and
@@ -539,7 +540,11 @@ class ValueRunSet {
     }
   }
 
-  SmallVec<ValueRun, 3> runs_;  // sorted by start; disjoint; maximal
+  // Four inline runs: a LinSet holds at most one entry per process with a
+  // linearized but unresponded op, and the modeled histories run 2-4
+  // processes, so a 4-entry candidate copies inline instead of spilling a
+  // heap block per clone (ValueRun is 24 B; Config grows by 24 B).
+  SmallVec<ValueRun, 4> runs_;  // sorted by start; disjoint; maximal
   uint64_t hash_ = 0;
   uint64_t size_ = 0;
 };

@@ -4,7 +4,9 @@
 // concurrently open operations, which wait-free workloads keep tiny (the
 // bench histories cap it at 2-4).  Storing those sets inline removes the
 // per-clone heap allocation that dominated Config::clone(); the heap spill
-// path keeps correctness for adversarial wide-window histories.
+// path keeps correctness for adversarial wide-window histories.  The op-set
+// users size N to that bound: LinSet's ValueRunSet keeps 4 runs inline,
+// enough for one distinct value per process on 4 processes.
 //
 // Restricted to trivially copyable, trivially destructible T: elements are
 // moved with memcpy and never individually destroyed.

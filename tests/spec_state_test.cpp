@@ -7,7 +7,8 @@
 // op sequences: every step() result, every encode() string and every
 // fingerprint() must equal what the model gives, so dedup outcomes and
 // verdicts cannot depend on the representation.  A counting operator new
-// checks that warm pool acquire + step + fingerprint allocates nothing.
+// checks that warm pool acquire + step + fingerprint allocates nothing, and
+// that so does a whole warm LinMonitor::feed_batch on a periodic history.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,6 +22,7 @@
 #include "selin/lincheck/config.hpp"
 #include "selin/selin.hpp"
 #include "selin/util/hash.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -298,6 +300,80 @@ TYPED_TEST(SpecStateTest, WarmPoolStepAndFingerprintAllocateNothing) {
   EXPECT_EQ(allocated, 0u);
   EXPECT_EQ(got, want);
   EXPECT_GT(pool.recycled(), 0u);
+}
+
+// One lockstep period on 4 processes: every process invokes, then every
+// process responds, so the frontier is a single configuration between
+// periods and every period repeats the same closure shape.
+using test::OpFactory;
+using Period = std::vector<Event>;
+
+// Counter: four concurrent increments answered 4k+1..4k+4 — the linearized
+// set holds four distinct values, i.e. four runs at the widest point.
+Period counter_period(OpFactory& f, Value base) {
+  Period ev;
+  std::vector<OpDesc> ops;
+  for (ProcId p = 0; p < 4; ++p) ops.push_back(f.op(p, Method::kInc));
+  for (const OpDesc& op : ops) ev.push_back(Event::inv(op));
+  for (size_t i = 0; i < ops.size(); ++i) {
+    ev.push_back(Event::res(ops[i], base + static_cast<Value>(i) + 1));
+  }
+  return ev;
+}
+
+// Queue: two enqueues and two dequeues that drain them again, so the state
+// returns to empty every period.
+Period queue_period(OpFactory& f) {
+  const OpDesc e5 = f.op(0, Method::kEnqueue, 5);
+  const OpDesc e6 = f.op(1, Method::kEnqueue, 6);
+  const OpDesc d1 = f.op(2, Method::kDequeue);
+  const OpDesc d2 = f.op(3, Method::kDequeue);
+  return {Event::inv(e5), Event::inv(e6), Event::inv(d1), Event::inv(d2),
+          Event::res(e5, kTrue), Event::res(e6, kTrue), Event::res(d1, 5),
+          Event::res(d2, 6)};
+}
+
+// A whole warm feed_batch — closure, pruning, dedup, filter — allocates
+// nothing: the closure is built in the frontier's own buffer, the op-sets
+// of a 4-process history stay inline, and pooled states, dedup tables and
+// hot rows keep their capacity across rounds.
+void expect_warm_periods_allocate_nothing(ObjectKind kind,
+                                          const std::vector<Period>& periods,
+                                          size_t warm) {
+  if (SELIN_FP_AUDIT) {
+    GTEST_SKIP() << "the collision audit builds a key string per probe";
+  }
+  auto spec = make_spec(kind);
+  LinMonitor mon(*spec);
+  for (size_t i = 0; i < warm; ++i) mon.feed_batch(periods[i]);
+  for (size_t i = warm; i < periods.size(); ++i) {
+    const size_t before = g_allocations.load(std::memory_order_relaxed);
+    mon.feed_batch(periods[i]);
+    const size_t allocated =
+        g_allocations.load(std::memory_order_relaxed) - before;
+    ASSERT_EQ(allocated, 0u) << object_kind_name(kind) << " period " << i;
+  }
+  EXPECT_TRUE(mon.ok());
+  EXPECT_EQ(mon.frontier_size(), 1u);
+  EXPECT_GT(mon.stats().peak_frontier, 1u);  // the closure did branch
+}
+
+TEST(WarmFeedBatch, LockstepCounterPeriodsAllocateNothing) {
+  OpFactory f;
+  std::vector<Period> periods;
+  for (Value k = 0; k < 40; ++k) periods.push_back(counter_period(f, 4 * k));
+  // Counter states hold no container, so one period warms everything.
+  expect_warm_periods_allocate_nothing(ObjectKind::kCounter, periods, 1);
+}
+
+TEST(WarmFeedBatch, LockstepQueuePeriodsAllocateNothing) {
+  OpFactory f;
+  std::vector<Period> periods;
+  for (int k = 0; k < 40; ++k) periods.push_back(queue_period(f));
+  // Each pooled queue state grows its vector once, the first time the pool
+  // hands it out for a longer queue; the last of them is warm by the
+  // seventh period.  Every period after that allocates nothing.
+  expect_warm_periods_allocate_nothing(ObjectKind::kQueue, periods, 8);
 }
 
 }  // namespace
